@@ -377,7 +377,7 @@ class AirDnDNode:
             "compute": self.compute.capture_state(),
             "trust": {
                 "scores": dict(sorted(self.trust.recorded_scores().items())),
-                "events": len(self.trust.events),
+                "events": self.trust.events,
             },
             # Task ids come from a process-global counter whose offset is
             # not observable state; capture the in-flight count only.

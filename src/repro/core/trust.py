@@ -46,7 +46,8 @@ class TrustManager:
         self.config = config or TrustConfig()
         self._scores: Dict[str, float] = {}
         self._attested: Dict[str, bool] = {}
-        self.events: List[tuple] = []
+        #: Reputation and attestation outcomes recorded so far.
+        self.events = 0
 
     # ------------------------------------------------------------ reputation
 
@@ -61,21 +62,21 @@ class TrustManager:
         """Reward a peer for a correct, timely result."""
         new = self._clamp(self.score_of(peer) + self.config.success_reward)
         self._scores[peer] = new
-        self.events.append(("success", peer, new))
+        self.events += 1
         return new
 
     def record_failure(self, peer: str) -> float:
         """Penalise a peer for a failed or timed-out task."""
         new = self._clamp(self.score_of(peer) - self.config.failure_penalty)
         self._scores[peer] = new
-        self.events.append(("failure", peer, new))
+        self.events += 1
         return new
 
     def record_lie(self, peer: str) -> float:
         """Heavily penalise a peer whose result lost a redundancy vote."""
         new = self._clamp(self.score_of(peer) - self.config.lie_penalty)
         self._scores[peer] = new
-        self.events.append(("lie", peer, new))
+        self.events += 1
         return new
 
     def trusted_peers(self, min_score: float = 0.3) -> List[str]:
@@ -115,7 +116,7 @@ class TrustManager:
         expected = self.attestation_response(peer, nonce)
         ok = response == expected
         self._attested[peer] = ok
-        self.events.append(("attestation", peer, ok))
+        self.events += 1
         if not ok:
             self.record_lie(peer)
         return ok

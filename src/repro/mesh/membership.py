@@ -7,27 +7,19 @@ in per-node epochs — a node bumps its epoch whenever its view changes — so
 two nodes may disagree transiently, which is exactly the asynchrony the
 framework embraces.
 
-:class:`MeshMembership` wraps one node's view and keeps statistics used by
-experiment E3 (formation/dissolution dynamics).
+:class:`MeshMembership` wraps one node's view and keeps aggregate join/leave
+statistics used by experiment E3 (formation/dissolution dynamics).  It keeps
+no per-event history: the view itself is derived from the neighbour table on
+demand, so a join or leave costs O(1) bookkeeping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, Optional, Set
 
 from repro.mesh.discovery import BeaconAgent
 from repro.simcore.simulator import Simulator
-
-
-@dataclass
-class MembershipEvent:
-    """One change in a node's mesh view."""
-
-    time: float
-    kind: str  # "join" or "leave"
-    peer: str
-    epoch: int
 
 
 @dataclass
@@ -36,15 +28,15 @@ class MembershipStats:
 
     joins: int = 0
     leaves: int = 0
-    peak_size: int = 0
     total_membership_changes: int = 0
-    contact_durations: List[float] = field(default_factory=list)
+    contact_time_total: float = 0.0
+    contacts_ended: int = 0
 
     def mean_contact_duration(self) -> float:
         """Average seconds a peer stayed in view (0 when no contact ended)."""
-        if not self.contact_durations:
+        if not self.contacts_ended:
             return 0.0
-        return sum(self.contact_durations) / len(self.contact_durations)
+        return self.contact_time_total / self.contacts_ended
 
 
 class MeshMembership:
@@ -55,7 +47,6 @@ class MeshMembership:
         self.agent = beacon_agent
         self.owner = beacon_agent.interface.node_name
         self.epoch = 0
-        self.events: List[MembershipEvent] = []
         self.stats = MembershipStats()
         self._first_seen: Dict[str, float] = {}
         beacon_agent.on_neighbor_up(self._on_join)
@@ -68,7 +59,7 @@ class MeshMembership:
 
         Age-aware: a neighbour whose last beacon is older than the neighbour
         lifetime is *not* a member, even if the periodic expiry sweep (which
-        fires every half lifetime and records the ``leave`` event) has not
+        fires every half lifetime and counts the ``leave``) has not
         caught up with it yet.  A crashed peer therefore leaves every live
         node's view within the beacon timeout itself.
         """
@@ -96,8 +87,6 @@ class MeshMembership:
         self._first_seen[peer] = self.sim.now
         self.stats.joins += 1
         self.stats.total_membership_changes += 1
-        self.stats.peak_size = max(self.stats.peak_size, self.size())
-        self.events.append(MembershipEvent(self.sim.now, "join", peer, self.epoch))
         self.sim.monitor.counter("mesh.joins").add()
 
     def _on_leave(self, peer: str) -> None:
@@ -106,6 +95,6 @@ class MeshMembership:
         self.stats.total_membership_changes += 1
         first = self._first_seen.pop(peer, None)
         if first is not None:
-            self.stats.contact_durations.append(self.sim.now - first)
-        self.events.append(MembershipEvent(self.sim.now, "leave", peer, self.epoch))
+            self.stats.contact_time_total += self.sim.now - first
+            self.stats.contacts_ended += 1
         self.sim.monitor.counter("mesh.leaves").add()

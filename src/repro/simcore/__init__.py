@@ -12,8 +12,10 @@ dependency-free discrete-event simulator.  The kernel provides:
   does not perturb another's.
 * :class:`~repro.simcore.monitor.Monitor` — metric collection (counters,
   time series, samples) queried by the experiment harness.
-* :class:`~repro.simcore.trace.TraceLog` — structured event tracing for
-  debugging and for the per-experiment audit trail.
+
+Tracing lives outside the kernel, in :mod:`repro.telemetry.trace`: the
+simulator only brackets each :meth:`~repro.simcore.simulator.Simulator.step`
+slice with a span when a tracer is installed.
 """
 
 from repro.simcore.event import Event, EventQueue
@@ -21,7 +23,6 @@ from repro.simcore.entity import SimEntity
 from repro.simcore.monitor import Counter, Monitor, SampleSeries, TimeSeries
 from repro.simcore.rng import RandomStreams
 from repro.simcore.simulator import Simulator, StepOutcome, StopSimulation
-from repro.simcore.trace import TraceLog, TraceRecord
 
 __all__ = [
     "Event",
@@ -35,6 +36,4 @@ __all__ = [
     "Counter",
     "TimeSeries",
     "SampleSeries",
-    "TraceLog",
-    "TraceRecord",
 ]

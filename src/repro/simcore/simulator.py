@@ -1,8 +1,8 @@
 """The discrete-event simulator.
 
 A :class:`Simulator` owns the virtual clock, the event queue, the experiment's
-random streams, the metric :class:`~repro.simcore.monitor.Monitor` and the
-:class:`~repro.simcore.trace.TraceLog`.  Entities schedule callbacks on it
+random streams and the metric :class:`~repro.simcore.monitor.Monitor`.
+Tracing is external (:mod:`repro.telemetry.trace`).  Entities schedule callbacks on it
 (one-shot with :meth:`Simulator.schedule`, or repeating with
 :meth:`Simulator.schedule_periodic`) and a driver advances it either to
 completion with :meth:`Simulator.run` or cooperatively, one bounded slice at
@@ -19,7 +19,6 @@ from typing import Any, Callable, Iterable, List, Optional
 from repro.simcore.event import Event, EventQueue
 from repro.simcore.monitor import Monitor
 from repro.simcore.rng import RandomStreams
-from repro.simcore.trace import TraceLog
 from repro.telemetry.trace import current_tracer
 
 
@@ -63,8 +62,6 @@ class Simulator:
         Root seed for all random streams.
     start_time:
         Initial value of the virtual clock (seconds).
-    trace:
-        Whether to record a structured trace of fired events.
 
     Examples
     --------
@@ -80,13 +77,11 @@ class Simulator:
         self,
         seed: int = 0,
         start_time: float = 0.0,
-        trace: bool = False,
     ) -> None:
         self._now = float(start_time)
         self._queue = EventQueue()
         self.streams = RandomStreams(seed)
         self.monitor = Monitor()
-        self.tracelog = TraceLog(enabled=trace)
         self._running = False
         self._entities: List[Any] = []
         self._stop_requested = False
@@ -225,7 +220,6 @@ class Simulator:
                     break
                 event = queue.pop()
                 self._now = event.time
-                self.tracelog.record(self._now, "event", event.name or "anonymous")
                 if event.callback is not None:
                     try:
                         event.callback()
@@ -236,9 +230,7 @@ class Simulator:
                     hit_budget = True
         finally:
             self._running = False
-        # getattr guard: simulators unpickled from pre-counter snapshot
-        # artifacts lack the attribute (it is bookkeeping, not sim state).
-        self.events_fired = getattr(self, "events_fired", 0) + fired
+        self.events_fired += fired
         if tracer is not None:
             tracer.span(
                 "dispatch_batch", "sim", trace_start,

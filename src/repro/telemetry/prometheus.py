@@ -187,25 +187,23 @@ def monitor_points(
     """Bridge one :class:`~repro.simcore.monitor.Monitor` into points.
 
     Read-only: walks the monitor's registries without creating any metric.
-    Duck-typed so old unpickled monitors (which may lack the ``gauges``
-    registry added with this module) bridge cleanly.
     """
     out: List[Any] = []
-    for name, counter in getattr(monitor, "counters", {}).items():
+    for name, counter in monitor.counters.items():
         out.append(
             point(
                 name, "counter", counter.value,
                 help=f"Monitor counter {name!r}", labels=labels,
             )
         )
-    for name, gauge in getattr(monitor, "gauges", {}).items():
+    for name, gauge in monitor.gauges.items():
         out.append(
             point(
                 name, "gauge", gauge.value,
                 help=f"Monitor gauge {name!r}", labels=labels,
             )
         )
-    for name, series in getattr(monitor, "series", {}).items():
+    for name, series in monitor.series.items():
         if len(series):
             out.append(
                 point(
@@ -214,7 +212,7 @@ def monitor_points(
                     labels=labels,
                 )
             )
-    for name, sample in getattr(monitor, "samples", {}).items():
+    for name, sample in monitor.samples.items():
         if sample.count:
             out.append(
                 histogram_from_values(

@@ -39,6 +39,20 @@ def test_trusted_peers_filter():
     assert "bad" not in trust.trusted_peers(min_score=0.5)
 
 
+def test_event_count_tracks_every_recorded_outcome():
+    trust = TrustManager("me")
+    assert trust.events == 0
+    trust.record_success("a")
+    trust.record_failure("a")
+    trust.record_lie("b")
+    nonce = "n-1"
+    assert trust.verify_attestation("c", nonce, TrustManager.attestation_response("c", nonce))
+    assert trust.events == 4
+    # A failed attestation records the attestation and the lie it implies.
+    assert not trust.verify_attestation("d", nonce, "forged")
+    assert trust.events == 6
+
+
 def test_self_score_is_max():
     trust = TrustManager("me")
     assert trust.self_score() == trust.config.max_score

@@ -3,6 +3,7 @@
 from repro.geometry.vector import Vec2
 from repro.mesh.discovery import BeaconAgent
 from repro.mesh.membership import MeshMembership
+from repro.mesh.neighbor import NeighborTable
 from repro.radio.interfaces import RadioEnvironment
 from repro.radio.link import LinkBudget
 from repro.simcore.simulator import Simulator
@@ -40,10 +41,44 @@ def test_join_and_leave_events_recorded():
     agents["b"].stop()
     sim.run(until=8.0)
     assert memberships["a"].stats.leaves == 1
-    assert memberships["a"].stats.contact_durations
+    assert memberships["a"].stats.contacts_ended == 1
     assert memberships["a"].stats.mean_contact_duration() > 0
-    kinds = [event.kind for event in memberships["a"].events]
-    assert kinds == ["join", "leave"]
+
+
+def test_mean_contact_duration_is_the_exact_mean_over_ended_contacts():
+    sim, agents, memberships = build({"a": Vec2(0, 0), "b": Vec2(40, 0), "c": Vec2(0, 40)})
+    # An independent observer of the same join/leave callbacks.
+    joined, durations = {}, []
+    agents["a"].on_neighbor_up(lambda peer, _beacon: joined.setdefault(peer, sim.now))
+    agents["a"].on_neighbor_down(lambda peer: durations.append(sim.now - joined.pop(peer)))
+    sim.run(until=2.0)
+    agents["b"].stop()
+    sim.run(until=5.0)
+    agents["c"].stop()
+    sim.run(until=10.0)
+    stats = memberships["a"].stats
+    assert len(durations) == stats.contacts_ended == 2
+    assert durations[0] != durations[1]
+    assert stats.mean_contact_duration() == sum(durations) / len(durations)
+
+
+def test_joins_and_leaves_never_scan_the_neighbor_table(monkeypatch):
+    """Membership bookkeeping is O(1) per join/leave: no view is computed."""
+    calls = []
+    original = NeighborTable.active_names
+
+    def counting(self, now):
+        calls.append(now)
+        return original(self, now)
+
+    monkeypatch.setattr(NeighborTable, "active_names", counting)
+    sim, agents, memberships = build({"a": Vec2(0, 0), "b": Vec2(40, 0), "c": Vec2(0, 40)})
+    sim.run(until=2.0)
+    agents["b"].stop()
+    sim.run(until=8.0)
+    assert memberships["a"].stats.joins == 2
+    assert memberships["a"].stats.leaves == 1
+    assert calls == []
 
 
 def test_epochs_advance_per_node_independently():

@@ -81,6 +81,15 @@ def test_rejects_unknown_version_loudly(artifact):
         SnapshotCodec().decode(tampered)
 
 
+def test_rejects_previous_version_loudly(artifact):
+    """Older artifacts never reach the unpickler, so no class needs compat guards."""
+    tampered = _rewrite_header(
+        artifact, lambda h: h.update(version=SNAPSHOT_VERSION - 1)
+    )
+    with pytest.raises(SnapshotVersionError, match="not supported"):
+        SnapshotCodec().decode(tampered)
+
+
 def test_rejects_missing_header_field(artifact):
     tampered = _rewrite_header(artifact, lambda h: h.pop("payload_sha256"))
     with pytest.raises(SnapshotFormatError, match="missing"):
