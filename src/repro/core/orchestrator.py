@@ -56,7 +56,7 @@ class _PendingTask:
     outstanding_offers: Dict[int, str] = field(default_factory=dict)
     collected_results: Dict[str, TaskResultMessage] = field(default_factory=dict)
     replicas_wanted: int = 1
-    timed_out_offers: set = field(default_factory=set)
+    timed_out_offers: Dict[int, None] = field(default_factory=dict)
 
 
 class Orchestrator:
@@ -234,7 +234,7 @@ class Orchestrator:
     ) -> None:
         if offer_id in pending.timed_out_offers:
             return
-        pending.timed_out_offers.add(offer_id)
+        pending.timed_out_offers[offer_id] = None
         pending.outstanding_offers.pop(offer_id, None)
         self.trust.record_failure(executor)
         self.sim.monitor.counter("airdnd.offer_failures").add()

@@ -7,8 +7,12 @@ A snapshot artifact has three parts::
 The header carries the format version, the payload's SHA-256 and byte
 length, and free-form metadata (scenario name, virtual time, seed, ...)
 readable without touching the payload.  The payload is a pickle (fixed
-protocol, so the same state always serialises the same way) of the
-simulation's object graph.
+protocol) of the simulation's object graph, written in one pass that
+memoises every ``str`` by value, not identity (each string is a persistent
+id), from captured state that holds no ``set``.  A restore changes string
+identities (the unpickler interns instance-``__dict__`` keys only) and would
+reorder sets, so these two rules are what make snapshot-of-restored
+bit-identical to the original artifact.
 
 Every failure mode is a distinct, loud error:
 
@@ -22,6 +26,7 @@ Every failure mode is a distinct, loud error:
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import pickle
 from typing import Any, Dict, Optional, Tuple
@@ -30,7 +35,7 @@ from typing import Any, Dict, Optional, Tuple
 SNAPSHOT_MAGIC = b"REPROSNAP\x01"
 
 #: Current format version; bumped on any incompatible layout change.
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 #: Pickle protocol pinned so identical state yields identical payload bytes
 #: regardless of the writing interpreter's default.
@@ -55,6 +60,31 @@ class SnapshotIntegrityError(SnapshotError):
     """The payload does not match the hash stamped in the header."""
 
 
+class _CanonicalPickler(pickle.Pickler):
+    """Pickles every ``str`` as a persistent id memoised by value."""
+
+    def __init__(self, file: io.BytesIO) -> None:
+        super().__init__(file, protocol=PICKLE_PROTOCOL)
+        self._strings: Dict[str, str] = {}
+
+    def persistent_id(self, obj: Any) -> Optional[str]:
+        if type(obj) is str:
+            return self._strings.setdefault(obj, obj)
+        return None
+
+
+class _CanonicalUnpickler(pickle.Unpickler):
+    """Reads the persistent-id strings :class:`_CanonicalPickler` writes."""
+
+    def persistent_load(self, pid: Any) -> str:
+        if type(pid) is not str:
+            raise SnapshotFormatError(
+                f"snapshot payload holds a {type(pid).__name__} persistent id; "
+                "only strings are written"
+            )
+        return pid
+
+
 class SnapshotCodec:
     """Encodes/decodes snapshot artifacts in the versioned wire format."""
 
@@ -62,21 +92,9 @@ class SnapshotCodec:
 
     def encode(self, payload_obj: Any, metadata: Optional[Dict[str, Any]] = None) -> bytes:
         """Serialise ``payload_obj`` into one self-validating artifact."""
-        payload = pickle.dumps(payload_obj, protocol=PICKLE_PROTOCOL)
-        # Canonicalise: the unpickler interns instance-__dict__ keys, so a
-        # freshly built graph and its restored twin have different string
-        # identity patterns and pickle to different bytes.  dumps(loads(...))
-        # rounds map both onto the same fixed point, making
-        # snapshot-of-restored bit-identical to the original artifact
-        # (asserted by tests/snapshot/test_format_stability.py).  One round
-        # is *usually* enough, but a set whose colliding members re-enter in
-        # iteration order can need another round to settle its slot layout,
-        # so iterate until the bytes stop changing.
-        for _ in range(8):
-            canonical = pickle.dumps(pickle.loads(payload), protocol=PICKLE_PROTOCOL)
-            if canonical == payload:
-                break
-            payload = canonical
+        buffer = io.BytesIO()
+        _CanonicalPickler(buffer).dump(payload_obj)
+        payload = buffer.getvalue()
         header = {
             "version": self.version,
             "payload_sha256": hashlib.sha256(payload).hexdigest(),
@@ -110,7 +128,7 @@ class SnapshotCodec:
                 f"{header['payload_sha256']}, payload hashes to {digest} — "
                 "the artifact is corrupt or was modified"
             )
-        return pickle.loads(payload), header
+        return _CanonicalUnpickler(io.BytesIO(payload)).load(), header
 
     # ------------------------------------------------------------- internal
 

@@ -146,25 +146,22 @@ def _send_frame(sock, opcode: int, payload: bytes) -> None:
     sock.sendall(head + _mask(payload))
 
 
-def _recv_exact(sock, n: int) -> bytes:
-    data = b""
-    while len(data) < n:
-        chunk = sock.recv(n - len(data))
-        if not chunk:
-            raise EOFError("socket closed")
-        data += chunk
+def _recv_exact(rfile, n: int) -> bytes:
+    data = rfile.read(n)
+    if len(data) < n:
+        raise EOFError("socket closed")
     return data
 
 
-def _recv_frame(sock):
-    first = _recv_exact(sock, 2)
+def _recv_frame(rfile):
+    first = _recv_exact(rfile, 2)
     opcode = first[0] & 0x0F
     length = first[1] & 0x7F
     if length == 126:
-        length = struct.unpack("!H", _recv_exact(sock, 2))[0]
+        length = struct.unpack("!H", _recv_exact(rfile, 2))[0]
     elif length == 127:
-        length = struct.unpack("!Q", _recv_exact(sock, 8))[0]
-    return opcode, _recv_exact(sock, length)
+        length = struct.unpack("!Q", _recv_exact(rfile, 8))[0]
+    return opcode, _recv_exact(rfile, length)
 
 
 def test_websocket_stream_over_tcp(server):
@@ -179,7 +176,12 @@ def test_websocket_stream_over_tcp(server):
     expected_accept = base64.b64encode(
         hashlib.sha1((key + WS_GUID).encode()).digest()
     ).decode()
-    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+    # Frames are read through a buffered file: the server may send the hello
+    # frame in the same segment as the 101 headers, and those bytes must not
+    # be dropped with the header read.
+    with socket.create_connection(
+        ("127.0.0.1", server.port), timeout=5
+    ) as sock, sock.makefile("rb") as rfile:
         sock.sendall(
             (
                 f"GET /sessions/{sid}/stream HTTP/1.1\r\n"
@@ -190,24 +192,27 @@ def test_websocket_stream_over_tcp(server):
             ).encode()
         )
         head = b""
-        while b"\r\n\r\n" not in head:
-            head += sock.recv(4096)
+        while not head.endswith(b"\r\n\r\n"):
+            line = rfile.readline()
+            if not line:
+                raise EOFError("socket closed")
+            head += line
         assert head.startswith(b"HTTP/1.1 101")
         assert expected_accept.encode() in head
 
-        opcode, payload = _recv_frame(sock)
+        opcode, payload = _recv_frame(rfile)
         assert opcode == 0x1
         hello = json.loads(payload)
         assert hello["type"] == "hello" and hello["id"] == sid
 
         # A ping is answered with a pong carrying the same payload.
         _send_frame(sock, 0x9, b"ping-me")
-        opcode, payload = _recv_frame(sock)
+        opcode, payload = _recv_frame(rfile)
         assert (opcode, payload) == (0xA, b"ping-me")
 
         # Advance the session over HTTP; the tick arrives on the stream.
         server.request("POST", f"/sessions/{sid}/step", {"max_events": 20})
-        opcode, payload = _recv_frame(sock)
+        opcode, payload = _recv_frame(rfile)
         tick = json.loads(payload)
         assert tick["type"] == "tick" and tick["events_fired"] == 20
 

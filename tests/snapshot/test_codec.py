@@ -1,9 +1,12 @@
 """The snapshot codec rejects everything that is not exactly right."""
 
+import hashlib
 import json
+import pickle
 
 import pytest
 
+from repro.snapshot import codec
 from repro.snapshot import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
@@ -119,14 +122,68 @@ def test_error_hierarchy():
 
 def test_tampered_hash_does_not_reach_pickle(artifact, monkeypatch):
     """Integrity is checked before unpickling, not after."""
-    import pickle
 
     def boom(*_args, **_kwargs):
-        raise AssertionError("pickle.loads reached with a bad hash")
+        raise AssertionError("the unpickler was reached with a bad hash")
 
     monkeypatch.setattr(pickle, "loads", boom)
+    monkeypatch.setattr(codec._CanonicalUnpickler, "load", boom)
     tampered = _rewrite_header(
         artifact, lambda h: h.update(payload_sha256="f" * 64)
     )
     with pytest.raises(SnapshotIntegrityError):
+        SnapshotCodec().decode(tampered)
+
+
+class _Holder:
+    """An object whose attribute name doubles as a plain string elsewhere."""
+
+    def __init__(self):
+        self.sim = "clock"
+
+
+def test_equal_strings_pickle_by_value_not_identity():
+    """Restoring splits string identities; the bytes must not notice.
+
+    The unpickler interns instance-``__dict__`` keys but no other strings, so
+    after a restore the attribute name ``sim`` and the list's ``"sim"`` are two
+    objects where the fresh graph had one.  Memoising by value writes the
+    string once either way, so snapshot-of-restored reproduces the artifact.
+    """
+    blob = SnapshotCodec().encode([_Holder(), ["sim"]])
+    restored, _ = SnapshotCodec().decode(blob)
+    key = next(iter(vars(restored[0])))
+    assert key == restored[1][0] == "sim"
+    assert key is not restored[1][0]
+    assert SnapshotCodec().encode(restored) == blob
+    _, payload_start = _header_bounds(blob)
+    assert blob[payload_start:].count(b"sim") == 1
+
+
+def test_encode_never_unpickles(monkeypatch):
+    """The first pickling pass is the canonical one; no round trip follows."""
+
+    def boom(*_args, **_kwargs):
+        raise AssertionError("encode unpickled its own payload")
+
+    monkeypatch.setattr(pickle, "loads", boom)
+    monkeypatch.setattr(pickle, "load", boom)
+    monkeypatch.setattr(codec._CanonicalUnpickler, "load", boom)
+    blob = SnapshotCodec().encode([_Holder(), ["sim"]])
+    assert SnapshotCodec().read_header(blob)["payload_bytes"] > 0
+
+
+def test_rejects_non_string_persistent_id():
+    """Only strings are written as persistent ids; anything else is forged."""
+    forged = b"\x80\x04K\x07Q."  # PROTO 4, BININT1 7, BINPERSID, STOP
+    blob = SnapshotCodec().encode("x")
+    _, end = _header_bounds(blob)
+    tampered = _rewrite_header(
+        blob[:end] + forged,
+        lambda h: h.update(
+            payload_sha256=hashlib.sha256(forged).hexdigest(),
+            payload_bytes=len(forged),
+        ),
+    )
+    with pytest.raises(SnapshotFormatError, match="persistent id"):
         SnapshotCodec().decode(tampered)

@@ -11,12 +11,20 @@ naming that would orphan existing checkpoints fails here loudly.  After an
 
 import json
 import os
+import subprocess
+import sys
+
+import pytest
 
 from repro.scenarios import build_scenario
 from repro.scenarios.base import Scenario
 from repro.snapshot import SNAPSHOT_VERSION, SnapshotCodec
 
 FIXTURE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+SRC_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+    "src",
+)
 FIXTURE = os.path.join(FIXTURE_DIR, "urban_grid_mid_run.reprosnap")
 EXPECTED = os.path.join(FIXTURE_DIR, "urban_grid_mid_run.expected.json")
 
@@ -57,12 +65,23 @@ def test_golden_fixture_matches_a_fresh_run_of_the_same_config():
     assert report.as_dict() == expected["resumed_report"]
 
 
+_FAULTS = dict(
+    crash_rate=0.08,
+    mean_downtime=2.0,
+    radio_degradation=6.0,
+    loss_burst_rate=0.4,
+    malicious_fraction=0.3,
+    adversary_profile="mixed",
+)
+
+
 def test_snapshot_of_restored_scenario_is_bit_identical():
     """Within-process idempotence: restore -> snapshot reproduces the bytes.
 
-    (Bit-identity across *processes* is deliberately not promised — Python
-    set iteration order is hash-randomised per process — but within one
-    process a snapshot must be a fixed point of restore.)
+    (Bit-identity of a *fresh run's* artifact across processes is not yet
+    promised for urban-grid — link first-seen bookkeeping is filled in set
+    order, which is hash-randomised per process — but a snapshot must be a
+    fixed point of restore.)
     """
     scenario = build_scenario("highway", n=4, seed=5)
     scenario.run(6.0)
@@ -70,6 +89,52 @@ def test_snapshot_of_restored_scenario_is_bit_identical():
     restored = Scenario.restore(first)
     second = restored.snapshot()
     assert second == first
+
+
+@pytest.mark.parametrize(
+    "name, knobs",
+    [
+        ("urban-grid", dict(n=8, seed=3, **_FAULTS)),
+        ("urban-grid", dict(n=8, seed=3, fast_math=True)),
+        ("intersection", dict(n=6, seed=2)),
+    ],
+    ids=["urban-grid-exact-faults", "urban-grid-statistical", "intersection"],
+)
+def test_restored_snapshot_is_bit_identical_on_every_scenario(name, knobs):
+    """The same restore fixed point on the other scenarios and tiers."""
+    scenario = build_scenario(name, **knobs)
+    scenario.run(6.0)
+    first = scenario.snapshot()
+    restored = Scenario.restore(first)
+    second = restored.snapshot()
+    assert second == first
+
+
+_RESNAPSHOT_FIXTURE = """
+import sys
+from repro.scenarios.base import Scenario
+with open(sys.argv[1], "rb") as handle:
+    blob = handle.read()
+sys.exit(0 if Scenario.restore(blob).snapshot() == blob else 1)
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "2"])
+def test_golden_fixture_is_a_fixed_point(hash_seed):
+    """Restoring the committed artifact and snapshotting it gives its bytes.
+
+    Runs in a fresh interpreter per ``PYTHONHASHSEED``: the bytes may depend
+    on neither the hash seed nor which strings that process happens to have
+    interned.
+    """
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC_DIR)
+    result = subprocess.run(
+        [sys.executable, "-c", _RESNAPSHOT_FIXTURE, FIXTURE],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 def test_snapshot_artifact_is_deterministic_within_process():
