@@ -34,6 +34,7 @@ from repro.experiments.runner import (
     ExperimentRunner,
     ScenarioRunOnce,
     SweepGrid,
+    sweep_cells,
     sweep_scenario_grid,
 )
 from repro.metrics.report import ResultTable
@@ -84,8 +85,8 @@ def test_two_dimensional_grid_reproduces_its_one_dimensional_slices(print_table)
             base_seed=BASE_SEED + i * stride_j * DEFAULT_SEED_STRIDE,
             seed_stride=DEFAULT_SEED_STRIDE,
         )
-        slice_results = runner.run_grid(
-            SweepGrid({"n": [n], "beacon_period": BEACON_PERIODS})
+        slice_results = runner.run_sweep(
+            SweepGrid({"n": [n], "beacon_period": BEACON_PERIODS}).points()
         )
         for result in slice_results:
             params = result.point.as_dict()
@@ -100,8 +101,8 @@ def test_two_dimensional_grid_reproduces_its_one_dimensional_slices(print_table)
             base_seed=BASE_SEED + j * DEFAULT_SEED_STRIDE,
             seed_stride=stride_j * DEFAULT_SEED_STRIDE,
         )
-        slice_results = runner.run_grid(
-            SweepGrid({"n": FLEET_SIZES, "beacon_period": [beacon_period]})
+        slice_results = runner.run_sweep(
+            SweepGrid({"n": FLEET_SIZES, "beacon_period": [beacon_period]}).points()
         )
         for result in slice_results:
             params = result.point.as_dict()
@@ -138,12 +139,7 @@ def test_two_dimensional_grid_reproduces_its_one_dimensional_slices(print_table)
 
 def test_grid_seeds_are_disjoint_across_points():
     grid = SweepGrid({"n": FLEET_SIZES, "beacon_period": BEACON_PERIODS})
-    runner = ExperimentRunner(
-        lambda params, seed: {}, repetitions=REPETITIONS, base_seed=BASE_SEED
-    )
     seeds: List[int] = [
-        runner.seed_for(index, repetition)
-        for index in range(len(grid))
-        for repetition in range(REPETITIONS)
+        cell.seed for cell in sweep_cells(grid.points(), REPETITIONS, BASE_SEED)
     ]
     assert len(seeds) == len(set(seeds))

@@ -35,7 +35,7 @@ import time
 from pathlib import Path
 from typing import Dict, List
 
-from repro.experiments.export import export_results
+from repro.experiments.export import export_results, sweep_metadata
 from repro.experiments.runner import SweepGrid, sweep_scenario_grid
 from repro.fabric import (
     JobStore,
@@ -188,12 +188,7 @@ def run_chaos_sweep(tmp_dir: Path) -> Dict[str, object]:
             str(path),
             results,
             dimensions=list(GRID),
-            scenario=SCENARIO,
-            grid=dict(GRID),
-            duration=DURATION,
-            repetitions=REPETITIONS,
-            base_seed=BASE_SEED,
-            jobs=1,
+            **sweep_metadata(SCENARIO, GRID, DURATION, REPETITIONS, BASE_SEED),
         )
     json_identical = fabric_json.read_bytes() == sequential_json.read_bytes()
     csv_identical = fabric_csv.read_bytes() == sequential_csv.read_bytes()

@@ -45,7 +45,7 @@ import argparse
 import json
 from typing import Dict, List, Optional
 
-from repro.experiments.export import export_results, load_sweep_cache
+from repro.experiments.export import export_results, load_sweep_cache, sweep_metadata
 from repro.experiments.runner import (
     SweepGrid,
     run_scenario_once,
@@ -490,12 +490,9 @@ def sweep_table(
             path,
             results,
             dimensions=grid.dimension_names,
-            scenario=args.scenario,
-            grid=dict(dimensions),
-            duration=args.duration,
-            repetitions=args.repetitions,
-            base_seed=1000 + args.seed,
-            jobs=args.jobs,
+            **sweep_metadata(
+                args.scenario, dimensions, args.duration, args.repetitions, 1000 + args.seed
+            ),
         )
     grid_label = " × ".join(f"{name}={values}" for name, values in dimensions.items())
     table = ResultTable(

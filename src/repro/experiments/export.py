@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.experiments.runner import DEFAULT_SEED_STRIDE, ExperimentResult
+from repro.experiments.runner import DEFAULT_SEED_STRIDE, ExperimentResult, cell_seed
 
 #: JSON schema tag, bumped on incompatible layout changes.
 SCHEMA = "repro.sweep/1"
@@ -64,6 +64,28 @@ def _metric_union(results: Sequence[ExperimentResult]) -> List[str]:
     for result in results:
         names.update(result.metric_names())
     return sorted(names)
+
+
+def sweep_metadata(
+    scenario: str,
+    grid: Mapping[str, Sequence[object]],
+    duration: float,
+    repetitions: int,
+    base_seed: int,
+) -> Dict[str, object]:
+    """The export's ``sweep`` record, shared by every way a sweep is run.
+
+    Key order is the JSON's.  How the cells were executed (``--jobs``,
+    ``--fabric``) is deliberately absent: it does not change a single
+    result, so it must not change the export's bytes either.
+    """
+    return {
+        "scenario": scenario,
+        "grid": dict(grid),
+        "duration": duration,
+        "repetitions": repetitions,
+        "base_seed": base_seed,
+    }
 
 
 def sweep_payload(
@@ -273,7 +295,7 @@ def load_sweep_cache(path: str) -> SweepCache:
     for index, point in enumerate(payload.get("points", [])):
         key = _params_key(point.get("params", {}))
         for repetition, run in enumerate(point.get("runs", [])):
-            seed = int(base_seed) + index * stride + repetition
+            seed = cell_seed(int(base_seed), stride, index, repetition)
             metrics = {
                 name: (math.nan if value is None else float(value))
                 for name, value in run.items()

@@ -19,11 +19,18 @@ grid can be reproduced point-for-point by a smaller sweep whose ``base_seed``
 / ``seed_stride`` are chosen to match the slice's flat indices (benchmark
 E12 asserts exactly this).
 
+Every way of running a sweep shares one cell model.  :func:`sweep_cells`
+owns the seed convention and enumerates the (point, repetition)
+:class:`CellSpec` s; :func:`split_cached` serves cells an earlier export
+already holds (``--resume``); :func:`collect_results` regroups per-cell
+metrics into one :class:`ExperimentResult` per point.  The in-process runner
+(sequential or ``jobs > 1``), the warm-started duration sweep and the
+:mod:`repro.fabric` job store all go through these three steps.
+
 :func:`sweep_scenario_grid` specialises the runner for the packaged
 scenarios: one call drives a named scenario over a grid of config knobs with
 repetitions and returns the aggregated :class:`ExperimentResult` per point.
-It backs the ``repro sweep`` CLI command; :func:`sweep_scenario` is the
-original fleet-size-only entry point, kept as a thin wrapper.
+It backs the ``repro sweep`` CLI command.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.metrics.statistics import confidence_interval, mean, stddev
 
@@ -141,6 +148,100 @@ class ExperimentResult:
         return confidence_interval(self.metric_values(metric))
 
 
+# -------------------------------------------------------------- sweep cells
+
+
+@dataclass(frozen=True)
+class CellSpec:
+    """One (point, repetition) cell of a sweep: the unit every executor runs."""
+
+    index: int
+    repetition: int
+    name: str
+    params: Dict[str, object]
+    seed: int
+
+
+#: Metrics of finished cells, keyed by ``(point index, repetition)``.
+CellRuns = Dict[Tuple[int, int], Dict[str, float]]
+
+
+def _check_seed_layout(repetitions: int, seed_stride: int) -> None:
+    if repetitions < 1:
+        raise ValueError("repetitions must be at least 1")
+    if seed_stride < 1:
+        raise ValueError("seed_stride must be at least 1")
+    if repetitions > seed_stride:
+        raise ValueError(
+            f"repetitions ({repetitions}) must not exceed seed_stride "
+            f"({seed_stride}), or adjacent sweep points would share seeds"
+        )
+
+
+def cell_seed(base_seed: int, seed_stride: int, point_index: int, repetition: int) -> int:
+    """The seed of one (point, repetition) cell (the module's convention)."""
+    return base_seed + point_index * seed_stride + repetition
+
+
+def sweep_cells(
+    points: Sequence[SweepPoint],
+    repetitions: int,
+    base_seed: int,
+    seed_stride: int = DEFAULT_SEED_STRIDE,
+) -> List[CellSpec]:
+    """Every cell of a sweep over ``points``, in flat-index order."""
+    _check_seed_layout(repetitions, seed_stride)
+    return [
+        CellSpec(
+            index=index,
+            repetition=repetition,
+            name=point.name,
+            params=point.as_dict(),
+            seed=cell_seed(base_seed, seed_stride, index, repetition),
+        )
+        for index, point in enumerate(points)
+        for repetition in range(repetitions)
+    ]
+
+
+def split_cached(
+    cells: Sequence[CellSpec], cache: Optional[object]
+) -> Tuple[CellRuns, List[CellSpec]]:
+    """Split ``cells`` into the metrics ``cache`` already holds and the rest.
+
+    ``cache`` is an object with ``lookup(params, seed) -> metrics | None``
+    (e.g. :class:`~repro.experiments.export.SweepCache`), or ``None``.
+    """
+    cached: CellRuns = {}
+    fresh: List[CellSpec] = []
+    for cell in cells:
+        metrics = cache.lookup(cell.params, cell.seed) if cache is not None else None
+        if metrics is None:
+            fresh.append(cell)
+        else:
+            cached[(cell.index, cell.repetition)] = metrics
+    return cached, fresh
+
+
+def collect_results(cells: Iterable[CellSpec], runs: CellRuns) -> List[ExperimentResult]:
+    """Regroup per-cell metrics into one result per point, flat-index order.
+
+    ``cells`` must come in flat-index order.  A point with any cell missing
+    from ``runs`` is left out.
+    """
+    results: Dict[int, ExperimentResult] = {}
+    incomplete = set()
+    for cell in cells:
+        metrics = runs.get((cell.index, cell.repetition))
+        if metrics is None:
+            incomplete.add(cell.index)
+            continue
+        if cell.index not in results:
+            results[cell.index] = ExperimentResult(SweepPoint.of(cell.name, **cell.params))
+        results[cell.index].runs.append(metrics)
+    return [result for index, result in results.items() if index not in incomplete]
+
+
 def _invoke_run_once(
     run_once: Callable[[Dict[str, object], int], Dict[str, float]],
     params: Dict[str, object],
@@ -195,37 +296,11 @@ class ExperimentRunner:
         base_seed: int = 1000,
         seed_stride: int = DEFAULT_SEED_STRIDE,
     ) -> None:
-        if repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
-        if seed_stride < 1:
-            raise ValueError("seed_stride must be at least 1")
-        if repetitions > seed_stride:
-            raise ValueError(
-                f"repetitions ({repetitions}) must not exceed seed_stride "
-                f"({seed_stride}), or adjacent sweep points would share seeds"
-            )
+        _check_seed_layout(repetitions, seed_stride)
         self.run_once = run_once
         self.repetitions = repetitions
         self.base_seed = base_seed
         self.seed_stride = seed_stride
-
-    def seed_for(self, point_index: int, repetition: int) -> int:
-        """The seed of one (point, repetition) cell of the sweep."""
-        return self.base_seed + point_index * self.seed_stride + repetition
-
-    def run_point(
-        self, point: SweepPoint, point_index: int = 0, cache: Optional[object] = None
-    ) -> ExperimentResult:
-        """Run every repetition of one sweep point (see :meth:`run_sweep`)."""
-        result = ExperimentResult(point=point)
-        params = point.as_dict()
-        for repetition in range(self.repetitions):
-            seed = self.seed_for(point_index, repetition)
-            metrics = cache.lookup(params, seed) if cache is not None else None
-            if metrics is None:
-                metrics = dict(self.run_once(params, seed))
-            result.runs.append(metrics)
-        return result
 
     def run_sweep(
         self,
@@ -234,18 +309,15 @@ class ExperimentRunner:
         cache: Optional[object] = None,
         profile_first_cell_to: Optional[str] = None,
     ) -> List[ExperimentResult]:
-        """Run the whole sweep in order.
+        """Run the whole sweep; one result per point, in order.
 
-        ``jobs > 1`` fans the individual (point, repetition) cells out over a
-        :mod:`multiprocessing` pool.  Every cell keeps the seed it would get
-        sequentially and results are reassembled in enumeration order, so the
-        returned list — and anything rendered from it — is identical to a
-        ``jobs=1`` run.
+        ``jobs > 1`` fans the fresh (point, repetition) cells out over a
+        :mod:`multiprocessing` pool.  Every cell keeps its seed and results
+        are reassembled in enumeration order, so the returned list — and
+        anything rendered from it — is identical to a ``jobs=1`` run.
 
-        ``cache`` (an object with ``lookup(params, seed) -> metrics|None``,
-        e.g. :class:`~repro.experiments.export.SweepCache`) short-circuits
-        cells already computed by an earlier sweep; only the remaining cells
-        run (and only they are fanned out to workers).
+        ``cache`` (see :func:`split_cached`) short-circuits cells already
+        computed by an earlier sweep; only the remaining cells run.
 
         ``profile_first_cell_to`` (only meaningful with ``jobs > 1``) makes
         the first fresh cell run under :mod:`cProfile` in its worker and dump
@@ -254,52 +326,18 @@ class ExperimentRunner:
         """
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if jobs == 1 or len(points) * self.repetitions <= 1:
-            return [
-                self.run_point(point, index, cache=cache)
-                for index, point in enumerate(points)
-            ]
-        cached_runs: Dict[Tuple[int, int], Dict[str, float]] = {}
-        cells = []
-        fresh_keys = []
-        for index, point in enumerate(points):
-            params = point.as_dict()
-            for repetition in range(self.repetitions):
-                seed = self.seed_for(index, repetition)
-                metrics = cache.lookup(params, seed) if cache is not None else None
-                if metrics is not None:
-                    cached_runs[(index, repetition)] = metrics
-                else:
-                    profile_to = (
-                        profile_first_cell_to if not cells else None
-                    )
-                    cells.append((self.run_once, params, seed, profile_to))
-                    fresh_keys.append((index, repetition))
-        if cells:
-            with multiprocessing.Pool(processes=min(jobs, len(cells))) as pool:
-                fresh_metrics = pool.starmap(_invoke_run_once, cells)
+        cells = sweep_cells(points, self.repetitions, self.base_seed, self.seed_stride)
+        runs, fresh = split_cached(cells, cache)
+        calls = [(self.run_once, cell.params, cell.seed) for cell in fresh]
+        if jobs == 1 or len(calls) <= 1:
+            fresh_runs = [_invoke_run_once(*call) for call in calls]
         else:
-            fresh_metrics = []
-        runs = dict(cached_runs)
-        runs.update(zip(fresh_keys, fresh_metrics))
-        results = []
-        for index, point in enumerate(points):
-            results.append(
-                ExperimentResult(
-                    point=point,
-                    runs=[
-                        runs[(index, repetition)]
-                        for repetition in range(self.repetitions)
-                    ],
-                )
-            )
-        return results
-
-    def run_grid(
-        self, grid: SweepGrid, jobs: int = 1, cache: Optional[object] = None
-    ) -> List[ExperimentResult]:
-        """Run every point of ``grid`` (row-major order)."""
-        return self.run_sweep(grid.points(), jobs=jobs, cache=cache)
+            calls[0] += (profile_first_cell_to,)
+            with multiprocessing.Pool(processes=min(jobs, len(calls))) as pool:
+                fresh_runs = pool.starmap(_invoke_run_once, calls)
+        for cell, metrics in zip(fresh, fresh_runs):
+            runs[(cell.index, cell.repetition)] = metrics
+        return collect_results(cells, runs)
 
 
 # ----------------------------------------------------------- scenario sweeps
@@ -408,9 +446,7 @@ def sweep_scenario_grid(
     Grid dimensions name scenario config knobs (``n``, ``beacon_period``,
     ``min_trust``, ``task_rate_per_s``, ...); fixed ``overrides`` apply to
     every point.  Returns one :class:`ExperimentResult` per grid point in
-    row-major order; seeds follow the :class:`ExperimentRunner` convention,
-    so a one-dimensional grid is seed-identical to the historical
-    fleet-size-only :func:`sweep_scenario`.  ``cache`` (see
+    row-major order; seeds follow :func:`sweep_cells`.  ``cache`` (see
     :meth:`ExperimentRunner.run_sweep`) lets ``repro sweep --resume`` skip
     cells an earlier export already contains.  ``trace_dir`` writes one
     Chrome trace-event file per fresh cell (``cell-s<seed>.json``).
@@ -514,63 +550,26 @@ def sweep_scenario_grid_warm(
     """
     if "duration" not in grid.dimensions:
         raise ValueError("warm-started sweeps need a 'duration' grid dimension")
-    if repetitions < 1:
-        raise ValueError("repetitions must be at least 1")
-    if repetitions > seed_stride:
-        raise ValueError("repetitions must not exceed seed_stride")
     durations = [float(value) for value in grid.dimensions["duration"]]
     other_dimensions = {
         name: values for name, values in grid.dimensions.items() if name != "duration"
     }
-    groups: List[Dict[str, object]] = (
-        [point.as_dict() for point in SweepGrid(other_dimensions).points()]
-        if other_dimensions
-        else [{}]
-    )
-    by_cell: Dict[Tuple[Tuple[Tuple[str, object], ...], float], List[Dict[str, float]]] = {}
-    for group_index, group_params in enumerate(groups):
-        for repetition in range(repetitions):
-            seed = base_seed + group_index * seed_stride + repetition
-            params = dict(overrides)
-            params.update(group_params)
-            fleet = params.pop("n", None)
-            per_duration = run_scenario_durations_warm(
-                scenario, durations, seed=seed, n=fleet, **params
-            )
-            for duration, metrics in per_duration.items():
-                key = (tuple(sorted(group_params.items())), duration)
-                by_cell.setdefault(key, []).append(metrics)
-    results = []
-    for point in grid.points(f"{scenario}:"):
-        params = point.as_dict()
+    groups = SweepGrid(other_dimensions).points() if other_dimensions else [SweepPoint("")]
+    trajectories: Dict[tuple, Dict[float, Dict[str, float]]] = {}
+    for cell in sweep_cells(groups, repetitions, base_seed, seed_stride):
+        params = dict(overrides)
+        params.update(cell.params)
+        fleet = params.pop("n", None)
+        trajectories[(tuple(sorted(cell.params.items())), cell.repetition)] = (
+            run_scenario_durations_warm(scenario, durations, seed=cell.seed, n=fleet, **params)
+        )
+    # Reassemble per grid point; these cells' own seeds go unused, each
+    # run comes from its group's trajectory.
+    cells = sweep_cells(grid.points(f"{scenario}:"), repetitions, base_seed, seed_stride)
+    runs: CellRuns = {}
+    for cell in cells:
+        params = dict(cell.params)
         duration = float(params.pop("duration"))
-        key = (tuple(sorted(params.items())), duration)
-        results.append(ExperimentResult(point=point, runs=by_cell[key]))
-    return results
-
-
-def sweep_scenario(
-    scenario: str,
-    fleet_sizes: Sequence[int],
-    duration: float = 20.0,
-    repetitions: int = 3,
-    base_seed: int = 1000,
-    jobs: int = 1,
-    **overrides,
-) -> List[ExperimentResult]:
-    """Run ``scenario`` at each fleet size in ``fleet_sizes`` with repetitions.
-
-    The original one-dimensional entry point, now a thin wrapper over the
-    grid machinery (``SweepGrid({"n": fleet_sizes})``).  Returns one
-    :class:`ExperimentResult` per size, in input order, with ``duration``
-    still recorded in each point's parameters for backward compatibility.
-    """
-    run_once = ScenarioRunOnce(
-        scenario=scenario, duration=duration, overrides=tuple(sorted(overrides.items()))
-    )
-    runner = ExperimentRunner(run_once, repetitions=repetitions, base_seed=base_seed)
-    points = [
-        SweepPoint.of(f"{scenario}:n={size}", n=size, duration=duration)
-        for size in fleet_sizes
-    ]
-    return runner.run_sweep(points, jobs=jobs)
+        group = trajectories[(tuple(sorted(params.items())), cell.repetition)]
+        runs[(cell.index, cell.repetition)] = group[duration]
+    return collect_results(cells, runs)

@@ -37,7 +37,6 @@ from repro.fabric.store import (
 from repro.fabric.submit import (
     StoreIncompleteError,
     export_store,
-    grid_cells,
     store_results,
     submit_grid,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "StoreIncompleteError",
     "retry_backoff",
     "export_store",
-    "grid_cells",
     "store_results",
     "submit_grid",
     "FabricWorker",

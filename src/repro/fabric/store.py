@@ -2,9 +2,9 @@
 
 A :class:`JobStore` is one SQLite database (WAL mode, so many worker
 processes on one filesystem can read and write it concurrently) holding one
-row per sweep *cell* — a ``(point index, repetition)`` pair with its knob
-parameters and its seed, exactly the unit :class:`~repro.experiments.runner.
-ExperimentRunner` fans out.  Cells move through a small state machine::
+row per sweep *cell* — the :class:`~repro.experiments.runner.CellSpec`
+``(point index, repetition, name, params, seed)`` that every sweep executor
+shares.  Cells move through a small state machine::
 
     pending ──claim──▶ leased ──complete──▶ done
        ▲                 │
@@ -47,6 +47,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.runner import CellSpec
 from repro.simcore.rng import derive_seed
 
 #: Schema tag stored in the meta table; bumped on incompatible layout changes.
@@ -114,17 +115,6 @@ def retry_backoff(
     delay = min(base * (2.0 ** (attempt - 1)), cap)
     unit = derive_seed(seed, f"backoff:{attempt}") / float(1 << 63)
     return delay * (1.0 + jitter_fraction * unit)
-
-
-@dataclass(frozen=True)
-class CellSpec:
-    """One cell to enqueue: the unit of fabric work."""
-
-    index: int
-    repetition: int
-    name: str
-    params: Dict[str, object]
-    seed: int
 
 
 @dataclass(frozen=True)

@@ -2,31 +2,35 @@
 
 ``repro sweep --fabric PATH`` calls :func:`submit_grid` to expand a
 :class:`~repro.experiments.runner.SweepGrid` into one store cell per
-``(point, repetition)`` — the same flat-index seed convention as an
-in-process sweep, so any cell's result is byte-identical no matter which
-side computes it.  A prior ``--out`` JSON export can seed the store
-(``resume_cache``): cells it already holds are inserted as ``done``, and
-only the remainder is ever leased.
+``(point, repetition)`` through the same :func:`~repro.experiments.runner.
+sweep_cells` an in-process sweep uses, so any cell's seed — and therefore
+its result — is the same no matter which side computes it.  A prior
+``--out`` JSON export can seed the store (``resume_cache``): the cells
+:func:`~repro.experiments.runner.split_cached` finds in it are inserted as
+``done``, and only the remainder is ever leased.
 
-:func:`export_store` is the inverse: it reassembles the completed cells
-into :class:`~repro.experiments.runner.ExperimentResult` rows in flat-index
-order and hands them to the *same* :func:`~repro.experiments.export.
-export_results` writer with the *same* metadata the sequential CLI path
-uses — which is why a fabric export is certified byte-identical to
-``repro sweep --jobs 1`` output (benchmark E18), no matter how many workers
-ran, died, or retried in between.
+:func:`export_store` is the inverse: :func:`store_results` regroups the
+completed cells with the shared :func:`~repro.experiments.runner.
+collect_results`, and the *same* :func:`~repro.experiments.export.
+export_results` writer gets the *same* :func:`~repro.experiments.export.
+sweep_metadata` record the CLI writes — which is why a fabric export is
+certified byte-identical to ``repro sweep --out`` (benchmark E18), no
+matter how many workers ran, died, or retried in between.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.export import export_results
+from repro.experiments.export import export_results, sweep_metadata
 from repro.experiments.runner import (
     DEFAULT_SEED_STRIDE,
+    CellSpec,
     ExperimentResult,
     SweepGrid,
-    SweepPoint,
+    collect_results,
+    split_cached,
+    sweep_cells,
 )
 from repro.fabric.store import (
     DEFAULT_BACKOFF_BASE,
@@ -34,7 +38,6 @@ from repro.fabric.store import (
     DEFAULT_JITTER_FRACTION,
     DEFAULT_LEASE_TTL,
     DEFAULT_MAX_ATTEMPTS,
-    CellSpec,
     FabricError,
     JobStore,
 )
@@ -42,43 +45,6 @@ from repro.fabric.store import (
 
 class StoreIncompleteError(FabricError):
     """An export was requested from a store with unfinished cells."""
-
-
-def grid_cells(
-    grid: SweepGrid,
-    *,
-    scenario: str,
-    repetitions: int,
-    base_seed: int,
-    seed_stride: int = DEFAULT_SEED_STRIDE,
-) -> List[CellSpec]:
-    """Expand a grid into fabric cells under the flat-index seed convention.
-
-    ``seed = base_seed + point_index * seed_stride + repetition`` — exactly
-    :meth:`ExperimentRunner.seed_for`, so a fabric cell and an in-process
-    sweep cell of the same grid agree on every seed.
-    """
-    if repetitions < 1:
-        raise ValueError("repetitions must be at least 1")
-    if repetitions > seed_stride:
-        raise ValueError(
-            f"repetitions ({repetitions}) must not exceed seed_stride "
-            f"({seed_stride}), or adjacent sweep points would share seeds"
-        )
-    cells = []
-    for index, point in enumerate(grid.points(f"{scenario}:")):
-        params = point.as_dict()
-        for repetition in range(repetitions):
-            cells.append(
-                CellSpec(
-                    index=index,
-                    repetition=repetition,
-                    name=point.name,
-                    params=params,
-                    seed=base_seed + index * seed_stride + repetition,
-                )
-            )
-    return cells
 
 
 def submit_grid(
@@ -106,29 +72,14 @@ def submit_grid(
     applied to every cell on top of the grid parameters (the programmatic
     equivalent of a point dimension with one value).
 
-    The store records the exact export metadata a sequential
-    ``repro sweep --jobs 1 --out`` call would write, so
-    :func:`export_store` can reproduce that output byte for byte.
+    The store records the export's :func:`~repro.experiments.export.
+    sweep_metadata` plus what workers need to run a cell (``seed_stride``,
+    ``overrides``), so :func:`export_store` can reproduce an in-process
+    ``repro sweep --out`` byte for byte.
     """
-    cells = grid_cells(
-        grid,
-        scenario=scenario,
-        repetitions=repetitions,
-        base_seed=base_seed,
-        seed_stride=seed_stride,
-    )
-    # Key order matters: this dict is replayed verbatim into the JSON
-    # export's "sweep" object, matching the CLI's kwargs order.
-    metadata: Dict[str, object] = {
-        "scenario": scenario,
-        "grid": dict(grid.dimensions),
-        "duration": duration,
-        "repetitions": repetitions,
-        "base_seed": base_seed,
-        "jobs": 1,
-        "seed_stride": seed_stride,
-        "overrides": dict(overrides or {}),
-    }
+    cells = sweep_cells(grid.points(f"{scenario}:"), repetitions, base_seed, seed_stride)
+    metadata = sweep_metadata(scenario, grid.dimensions, duration, repetitions, base_seed)
+    metadata.update(seed_stride=seed_stride, overrides=dict(overrides or {}))
     store = JobStore.create(
         store_path,
         cells,
@@ -139,11 +90,9 @@ def submit_grid(
         backoff_cap=backoff_cap,
         jitter_fraction=jitter_fraction,
     )
-    if resume_cache is not None:
-        for cell in cells:
-            metrics = resume_cache.lookup(cell.params, cell.seed)
-            if metrics is not None:
-                store.preload_done(cell.index, cell.repetition, metrics)
+    cached, _ = split_cached(cells, resume_cache)
+    for (index, repetition), metrics in cached.items():
+        store.preload_done(index, repetition, metrics)
     return store
 
 
@@ -154,33 +103,23 @@ def store_results(store: JobStore, *, partial: bool = False) -> List[ExperimentR
     (``partial=True`` keeps only fully-done points instead — useful for
     peeking at a running grid, never for the byte-identity export).
     """
-    cells = store.cells()
-    missing = [c for c in cells if c["state"] != "done"]
+    rows = store.cells()
+    missing = [row for row in rows if row["state"] != "done"]
     if missing and not partial:
         states: Dict[str, int] = {}
-        for cell in missing:
-            states[cell["state"]] = states.get(cell["state"], 0) + 1
+        for row in missing:
+            states[row["state"]] = states.get(row["state"], 0) + 1
         summary = ", ".join(f"{n} {state}" for state, n in sorted(states.items()))
         raise StoreIncompleteError(
             f"store {store.path!r} has {len(missing)} unfinished cells "
             f"({summary}); run more workers or `repro fabric requeue`"
         )
-    by_point: Dict[int, List[Dict[str, object]]] = {}
-    for cell in cells:
-        by_point.setdefault(cell["idx"], []).append(cell)
-    results = []
-    for index in sorted(by_point):
-        point_cells = sorted(by_point[index], key=lambda c: c["rep"])
-        if any(c["state"] != "done" for c in point_cells):
-            continue  # partial=True: drop incomplete points wholesale
-        first = point_cells[0]
-        point = SweepPoint.of(first["name"], **first["params"])
-        results.append(
-            ExperimentResult(
-                point=point, runs=[dict(c["metrics"]) for c in point_cells]
-            )
-        )
-    return results
+    cells = [
+        CellSpec(row["idx"], row["rep"], row["name"], row["params"], row["seed"])
+        for row in rows
+    ]
+    runs = {(row["idx"], row["rep"]): row["metrics"] for row in rows if row["state"] == "done"}
+    return collect_results(cells, runs)
 
 
 def export_store(
@@ -192,22 +131,14 @@ def export_store(
     """Write a completed store to ``paths`` (.json / .csv by suffix).
 
     Uses the submit-time metadata and the grid's own dimension order, so
-    the JSON and CSV bytes match a sequential ``repro sweep --jobs 1
-    --out`` of the same grid exactly (E18's gate).  Returns the results.
+    the JSON and CSV bytes match an in-process ``repro sweep --out`` of the
+    same grid exactly (E18's gate).  Returns the results.
     """
     results = store_results(store, partial=partial)
     meta = store.metadata
-    grid_dims = meta.get("grid") or {}
-    export_metadata = {
-        key: meta[key]
-        for key in ("scenario", "grid", "duration", "repetitions", "base_seed", "jobs")
-        if key in meta
-    }
+    metadata = sweep_metadata(
+        meta["scenario"], meta["grid"], meta["duration"], meta["repetitions"], meta["base_seed"]
+    )
     for path in paths:
-        export_results(
-            path,
-            results,
-            dimensions=list(grid_dims) or None,
-            **export_metadata,
-        )
+        export_results(path, results, dimensions=list(meta["grid"]), **metadata)
     return results

@@ -130,9 +130,11 @@ class TopologyObserver:
     def _update_link_lifetimes(self, snapshot: TopologySnapshot) -> None:
         current = {tuple(sorted(edge)) for edge in snapshot.graph.edges}
         known = set(self._link_first_seen)
-        for link in current - known:
+        # Sorted, not set order: the dict's insertion order and the lifetime
+        # list end up in snapshots, which must not depend on PYTHONHASHSEED.
+        for link in sorted(current - known):
             self._link_first_seen[link] = snapshot.time
-        for link in known - current:
+        for link in sorted(known - current):
             start = self._link_first_seen.pop(link)
             self.link_lifetimes.append(snapshot.time - start)
 

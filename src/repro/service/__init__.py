@@ -27,7 +27,7 @@ an optional nicety for production serving, never a requirement.
 
 from repro.service.app import ServiceApp, create_app
 from repro.service.bus import SubscriberBus
-from repro.service.registry import SessionRegistry, UnknownSessionError
+from repro.service.registry import SessionRegistry, SnapshotPathError, UnknownSessionError
 from repro.service.session import (
     DEFAULT_STEP_SLICE,
     SessionError,
@@ -44,6 +44,7 @@ __all__ = [
     "SessionState",
     "SessionStateError",
     "SimulationSession",
+    "SnapshotPathError",
     "SubscriberBus",
     "UnknownSessionError",
     "create_app",

@@ -24,14 +24,15 @@ Endpoints (JSON in/out unless noted; full protocol in ``docs/SERVICE.md``)::
     POST   /sessions/{id}/resume        paused -> running
     POST   /sessions/{id}/fast-forward  drive the window to completion
     POST   /sessions/{id}/snapshot      artifact bytes, or {"path": ...} to
-                                        write server-side
+                                        write under --snapshot-dir
     POST   /sessions/{id}/evict         pause if needed, snapshot, drop
     POST   /sessions/{id}/restore       evicted -> paused
     DELETE /sessions/{id}               forget the session
     WS     /sessions/{id}/stream        tick/state/topology/report events
 
 Errors map to conventional statuses: unknown session → 404, an operation
-the lifecycle state forbids → 409, bad parameters → 400.
+the lifecycle state forbids → 409, bad parameters → 400 (whose body also
+names the error ``type``, e.g. ``SnapshotPathError``).
 """
 
 from __future__ import annotations
@@ -127,7 +128,8 @@ class ServiceApp:
         except SessionStateError as error:
             status, payload, raw = 409, {"error": str(error)}, None
         except (ValueError, TypeError) as error:
-            status, payload, raw = 400, {"error": str(error)}, None
+            payload = {"error": str(error), "type": type(error).__name__}
+            status, raw = 400, None
         if raw is not None:
             body, content_type = raw
         else:
@@ -242,12 +244,11 @@ class ServiceApp:
             report = await self._fast_forward(session)
             return 200, {"report": report, "status": session.status()}, None
         if action == "snapshot":
-            body = await _read_json(receive)
-            path = body.get("path")
-            blob = session.snapshot(path)
-            if path is not None:
-                return 200, {"written": path, "bytes": len(blob)}, None
-            return 200, None, (blob, b"application/octet-stream")
+            name = (await _read_json(receive)).get("path")
+            if name is None:
+                return 200, None, (session.snapshot(), b"application/octet-stream")
+            blob = session.snapshot(registry.snapshot_path(name))
+            return 200, {"written": name, "bytes": len(blob)}, None
         if action == "evict":
             registry.evict(session_id)
             return 200, session.status(), None

@@ -33,6 +33,10 @@ class UnknownSessionError(KeyError):
     """Lookup of a session id the registry does not hold."""
 
 
+class SnapshotPathError(ValueError):
+    """A client-named snapshot path outside the registry's ``snapshot_dir``."""
+
+
 class SessionRegistry:
     """Create, look up, schedule, evict and delete simulation sessions.
 
@@ -44,6 +48,8 @@ class SessionRegistry:
     snapshot_dir:
         When set, :meth:`evict` writes eviction artifacts under this
         directory (``<id>.reprosnap``) instead of holding them in memory.
+        It is also the only place client-named snapshots are written
+        (:meth:`snapshot_path`).
     """
 
     def __init__(
@@ -149,6 +155,24 @@ class SessionRegistry:
             path = os.path.join(self.snapshot_dir, f"{session_id}.reprosnap")
         session.evict(path)
         return session
+
+    def snapshot_path(self, name: object) -> str:
+        """Resolve a client-named snapshot file inside ``snapshot_dir``.
+
+        Raises :class:`SnapshotPathError` when no ``snapshot_dir`` is
+        configured, for a name that is not a relative path, and for one
+        that leaves the directory once ``..`` and symlinks are resolved.
+        """
+        if self.snapshot_dir is None:
+            raise SnapshotPathError("server-side snapshots need --snapshot-dir")
+        if not isinstance(name, str) or not name or os.path.isabs(name):
+            raise SnapshotPathError(f"snapshot path {name!r} must be relative")
+        root = os.path.realpath(self.snapshot_dir)
+        target = os.path.realpath(os.path.join(root, name))
+        if target == root or os.path.commonpath([root, target]) != root:
+            raise SnapshotPathError(f"snapshot path {name!r} escapes --snapshot-dir")
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        return target
 
     def restore(self, session_id: str) -> SimulationSession:
         """Restore an evicted session; it comes back ``paused``."""

@@ -17,7 +17,6 @@ from repro.fabric import (
     JobStore,
     StoreIncompleteError,
     artifact_dir_for,
-    grid_cells,
     metrics_sha256,
     read_cell_artifact,
     submit_grid,
@@ -90,16 +89,20 @@ def test_requeue_drains_failure_states_not_done(tmp_path):
 # ---------------------------------------------------------------- submission
 
 
-def test_grid_cells_follow_the_flat_index_seed_convention():
+def test_grid_cells_follow_the_flat_index_seed_convention(tmp_path):
     grid = SweepGrid({"n": [4, 8], "rate": [1.0]})
-    cells = grid_cells(
-        grid, scenario="demo", repetitions=2, base_seed=1000, seed_stride=50
-    )
-    assert [c.seed for c in cells] == [1000, 1001, 1050, 1051]
-    assert cells[2].params == {"n": 8, "rate": 1.0}
-    assert cells[2].name.startswith("demo:")
+    with submit_grid(
+        str(tmp_path / "store.db"), "demo", grid, repetitions=2, base_seed=1000,
+        seed_stride=50,
+    ) as store:
+        cells = store.cells()
+    assert [c["seed"] for c in cells] == [1000, 1001, 1050, 1051]
+    assert cells[2]["params"] == {"n": 8, "rate": 1.0}
+    assert cells[2]["name"].startswith("demo:")
+    rejected = tmp_path / "rejected.db"
     with pytest.raises(ValueError, match="seed_stride"):
-        grid_cells(grid, scenario="demo", repetitions=51, base_seed=0, seed_stride=50)
+        submit_grid(str(rejected), "demo", grid, repetitions=51, seed_stride=50)
+    assert not rejected.exists()
 
 
 def test_submit_records_sequential_export_metadata(tmp_path):
@@ -108,12 +111,12 @@ def test_submit_records_sequential_export_metadata(tmp_path):
         str(tmp_path / "store.db"), "demo", grid, duration=5.0, repetitions=1
     ) as store:
         meta = store.metadata
-        # Exact key order: replayed verbatim into the JSON export's "sweep"
-        # object, so it must match the sequential CLI's kwargs order.
-        assert list(meta)[:6] == [
-            "scenario", "grid", "duration", "repetitions", "base_seed", "jobs"
+        # Exact key order: replayed into the JSON export's "sweep" object,
+        # so it must match the CLI's export record.
+        assert list(meta)[:5] == [
+            "scenario", "grid", "duration", "repetitions", "base_seed"
         ]
-        assert meta["jobs"] == 1 and meta["grid"] == {"n": [4, 8]}
+        assert meta["grid"] == {"n": [4, 8]}
 
 
 # -------------------------------------------------------------------- worker

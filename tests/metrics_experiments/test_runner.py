@@ -5,14 +5,18 @@ import math
 import pytest
 
 from repro.experiments.runner import (
+    CellSpec,
     ExperimentRunner,
     ScenarioRunOnce,
     SweepGrid,
     SweepPoint,
+    collect_results,
     numeric_metrics,
     run_scenario_once,
-    sweep_scenario,
+    split_cached,
+    sweep_cells,
     sweep_scenario_grid,
+    sweep_scenario_grid_warm,
 )
 
 
@@ -42,7 +46,7 @@ def test_result_statistics_and_missing_metrics():
         return {"always": 1.0} if seed % 2 == 0 else {"always": 3.0, "sometimes": 5.0}
 
     runner = ExperimentRunner(run_once, repetitions=4, base_seed=0)
-    result = runner.run_point(SweepPoint.of("p"))
+    [result] = runner.run_sweep([SweepPoint.of("p")])
     assert result.mean("always") == 2.0
     assert result.metric_values("sometimes") == [5.0, 5.0]
     assert result.metric_names() == ["always", "sometimes"]
@@ -63,6 +67,13 @@ def test_invalid_repetitions():
         # rep 0 of point 1 at the default stride).
         ExperimentRunner(lambda p, s: {}, repetitions=1001)
     ExperimentRunner(lambda p, s: {}, repetitions=50, seed_stride=50)  # boundary ok
+    # The same checks guard every executor's cell enumeration.
+    points = [SweepPoint.of("p")]
+    with pytest.raises(ValueError, match="at least 1"):
+        sweep_cells(points, 0, 0)
+    with pytest.raises(ValueError, match="seed_stride"):
+        sweep_cells(points, 51, 0, seed_stride=50)
+    assert len(sweep_cells(points, 50, 0, seed_stride=50)) == 50
 
 
 # -------------------------------------------------------------- sweep grids
@@ -95,12 +106,39 @@ def test_grid_rejects_degenerate_dimensions():
 
 
 def test_seed_convention_is_index_times_stride():
-    runner = ExperimentRunner(lambda p, s: {}, repetitions=3, base_seed=1000)
-    assert runner.seed_for(0, 0) == 1000
-    assert runner.seed_for(0, 2) == 1002
-    assert runner.seed_for(2, 1) == 3001
-    wide = ExperimentRunner(lambda p, s: {}, repetitions=3, base_seed=1000, seed_stride=2000)
-    assert wide.seed_for(1, 0) == 3000
+    points = SweepGrid({"n": [1, 2, 3]}).points()
+    seeds = {(c.index, c.repetition): c.seed for c in sweep_cells(points, 3, 1000)}
+    assert seeds[(0, 0)] == 1000
+    assert seeds[(0, 2)] == 1002
+    assert seeds[(2, 1)] == 3001
+    wide = sweep_cells(points, 3, 1000, seed_stride=2000)
+    assert wide[3] == CellSpec(index=1, repetition=0, name="n=2", params={"n": 2}, seed=3000)
+
+
+class _DictCache:
+    def __init__(self, cells):
+        self.cells = cells
+
+    def lookup(self, params, seed):
+        return self.cells.get((params["x"], seed))
+
+
+def test_split_cached_serves_known_cells_and_keeps_the_rest_in_order():
+    cells = sweep_cells(SweepGrid({"x": [1, 2]}).points(), 2, 10)
+    cached, fresh = split_cached(cells, _DictCache({(2, 1010): {"m": 1.0}}))
+    assert cached == {(1, 0): {"m": 1.0}}
+    assert [(c.index, c.repetition) for c in fresh] == [(0, 0), (0, 1), (1, 1)]
+    assert split_cached(cells, None) == ({}, cells)
+
+
+def test_collect_results_regroups_by_point_and_drops_incomplete_points():
+    cells = sweep_cells(SweepGrid({"x": [1, 2]}).points("demo:"), 2, 0)
+    runs = {(0, 0): {"m": 0.0}, (0, 1): {"m": 1.0}, (1, 1): {"m": 3.0}}
+    [result] = collect_results(cells, runs)
+    assert result.point == SweepPoint.of("demo:x=1", x=1)
+    assert result.runs == [{"m": 0.0}, {"m": 1.0}]
+    runs[(1, 0)] = {"m": 2.0}
+    assert [r.runs for r in collect_results(cells, runs)][1] == [{"m": 2.0}, {"m": 3.0}]
 
 
 def test_grid_points_never_share_a_seed_sequence():
@@ -111,7 +149,7 @@ def test_grid_points_never_share_a_seed_sequence():
         return {}
 
     runner = ExperimentRunner(run_once, repetitions=4, base_seed=10)
-    runner.run_grid(SweepGrid({"a": [1, 2, 3], "b": [10, 20]}))
+    runner.run_sweep(SweepGrid({"a": [1, 2, 3], "b": [10, 20]}).points())
     all_seeds = [seed for seeds in seeds_per_point.values() for seed in seeds]
     assert len(seeds_per_point) == 6
     assert len(all_seeds) == len(set(all_seeds))  # no seed reused anywhere
@@ -129,8 +167,8 @@ def test_parallel_jobs_match_sequential_exactly():
     grid = SweepGrid({"x": [1, 2, 3]})
     sequential = ExperimentRunner(_square_run_once, repetitions=2, base_seed=7)
     parallel = ExperimentRunner(_square_run_once, repetitions=2, base_seed=7)
-    one = sequential.run_grid(grid, jobs=1)
-    many = parallel.run_grid(grid, jobs=3)
+    one = sequential.run_sweep(grid.points(), jobs=1)
+    many = parallel.run_sweep(grid.points(), jobs=3)
     assert [r.point for r in one] == [r.point for r in many]
     assert [r.runs for r in one] == [r.runs for r in many]
 
@@ -193,8 +231,8 @@ def test_run_scenario_once_forwards_protocol_knobs():
 
 
 def test_sweep_scenario_runs_each_size_with_repetitions():
-    results = sweep_scenario(
-        "intersection", fleet_sizes=[4, 5], duration=3.0, repetitions=2, base_seed=50
+    results = sweep_scenario_grid(
+        "intersection", SweepGrid({"n": [4, 5]}), duration=3.0, repetitions=2, base_seed=50
     )
     assert [r.point.as_dict()["n"] for r in results] == [4, 5]
     assert all(len(r.runs) == 2 for r in results)
@@ -203,26 +241,10 @@ def test_sweep_scenario_runs_each_size_with_repetitions():
 
 
 def test_sweep_scenario_is_deterministic_for_equal_seeds():
-    kwargs = dict(fleet_sizes=[4], duration=3.0, repetitions=2, base_seed=7)
-    first = sweep_scenario("intersection", **kwargs)
-    second = sweep_scenario("intersection", **kwargs)
+    kwargs = dict(grid=SweepGrid({"n": [4]}), duration=3.0, repetitions=2, base_seed=7)
+    first = sweep_scenario_grid("intersection", **kwargs)
+    second = sweep_scenario_grid("intersection", **kwargs)
     assert first[0].runs == second[0].runs
-
-
-def test_one_dimensional_grid_matches_legacy_fleet_sweep():
-    # The generalised grid path must be seed- and result-identical to the
-    # historical fleet-size-only sweep.
-    legacy = sweep_scenario(
-        "intersection", fleet_sizes=[4, 5], duration=3.0, repetitions=2, base_seed=11
-    )
-    grid = sweep_scenario_grid(
-        "intersection",
-        SweepGrid({"n": [4, 5]}),
-        duration=3.0,
-        repetitions=2,
-        base_seed=11,
-    )
-    assert [r.runs for r in legacy] == [r.runs for r in grid]
 
 
 def _runs_equal(a, b):
@@ -249,6 +271,22 @@ def test_sweep_scenario_grid_parallel_jobs_identical():
     assert all(_runs_equal(a.runs, b.runs) for a, b in zip(one, many))
 
 
+def test_warm_sweep_regroups_trajectories_onto_grid_points():
+    from repro.scenarios import build_scenario
+
+    # duration is not the last dimension, so groups interleave in the grid.
+    grid = SweepGrid({"duration": [2.0, 3.0], "n": [3, 4]})
+    results = sweep_scenario_grid_warm("highway", grid, repetitions=1, base_seed=5)
+    assert [r.point for r in results] == grid.points("highway:")
+    for result in results:
+        params = result.point.as_dict()
+        group_seed = 5 + [3, 4].index(params["n"]) * 1000
+        cold = build_scenario("highway", n=params["n"], seed=group_seed).run(
+            duration=params["duration"], fault_horizon=3.0
+        )
+        assert _runs_equal(result.runs, [numeric_metrics(cold.as_dict())])
+
+
 def test_scenario_run_once_is_picklable_and_merges_overrides():
     import pickle
 
@@ -262,7 +300,7 @@ def test_scenario_run_once_is_picklable_and_merges_overrides():
 
 def test_sweep_scenario_rejects_unknown_scenario():
     with pytest.raises(ValueError):
-        sweep_scenario("not-a-scenario", fleet_sizes=[2], repetitions=1)
+        sweep_scenario_grid("not-a-scenario", SweepGrid({"n": [2]}), repetitions=1)
 
 
 def test_parallel_profile_first_cell_dumps_worker_stats(tmp_path):

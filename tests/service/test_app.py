@@ -111,18 +111,62 @@ def test_pause_resume_evict_restore_cycle(client):
     assert client.get(f"/sessions/{sid}").json()["state"] == "finished"
 
 
-def test_snapshot_blob_and_server_side_write(client, tmp_path):
-    sid = _create(client, start=True)["id"]
-    client.post(f"/sessions/{sid}/step")
-    blob = client.post(f"/sessions/{sid}/snapshot")
-    assert blob.status == 200
-    assert blob.headers["content-type"] == "application/octet-stream"
-    assert len(blob.body) > 0
+def test_snapshot_blob_and_server_side_write(tmp_path):
+    registry = SessionRegistry(snapshot_dir=str(tmp_path))
+    with ASGITestClient(create_app(registry, auto_drive=False)) as client:
+        sid = _create(client, start=True)["id"]
+        client.post(f"/sessions/{sid}/step")
+        blob = client.post(f"/sessions/{sid}/snapshot")
+        assert blob.status == 200
+        assert blob.headers["content-type"] == "application/octet-stream"
+        assert len(blob.body) > 0
 
+        written = client.post(f"/sessions/{sid}/snapshot", {"path": "session.reprosnap"})
+        assert written.json() == {"written": "session.reprosnap", "bytes": len(blob.body)}
+        assert (tmp_path / "session.reprosnap").stat().st_size == len(blob.body)
+
+
+def test_server_side_snapshot_needs_a_snapshot_dir(client, tmp_path):
+    sid = _create(client, start=True)["id"]
     target = tmp_path / "session.reprosnap"
-    written = client.post(f"/sessions/{sid}/snapshot", {"path": str(target)})
-    assert written.json() == {"written": str(target), "bytes": len(blob.body)}
-    assert target.stat().st_size == len(blob.body)
+    refused = client.post(f"/sessions/{sid}/snapshot", {"path": "session.reprosnap"})
+    assert refused.status == 400
+    assert refused.json()["type"] == "SnapshotPathError"
+    assert "--snapshot-dir" in refused.json()["error"]
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["ABSOLUTE", "../outside.reprosnap", "sub/../../outside.reprosnap", "", ".", 7],
+)
+def test_server_side_snapshot_path_is_confined_to_snapshot_dir(tmp_path, name):
+    snapshots = tmp_path / "snapshots"
+    registry = SessionRegistry(snapshot_dir=str(snapshots))
+    if name == "ABSOLUTE":
+        name = str(snapshots / "absolute.reprosnap")
+    with ASGITestClient(create_app(registry, auto_drive=False)) as client:
+        sid = _create(client, start=True)["id"]
+        refused = client.post(f"/sessions/{sid}/snapshot", {"path": name})
+    assert refused.status == 400
+    assert refused.json()["type"] == "SnapshotPathError"
+    assert not (tmp_path / "outside.reprosnap").exists()
+    assert not (snapshots / "absolute.reprosnap").exists()
+
+
+def test_server_side_snapshot_symlink_cannot_escape(tmp_path):
+    snapshots = tmp_path / "snapshots"
+    snapshots.mkdir()
+    (snapshots / "link").symlink_to(tmp_path)
+    registry = SessionRegistry(snapshot_dir=str(snapshots))
+    with ASGITestClient(create_app(registry, auto_drive=False)) as client:
+        sid = _create(client, start=True)["id"]
+        refused = client.post(f"/sessions/{sid}/snapshot", {"path": "link/x.reprosnap"})
+        nested = client.post(f"/sessions/{sid}/snapshot", {"path": "runs/a.reprosnap"})
+    assert refused.status == 400 and refused.json()["type"] == "SnapshotPathError"
+    assert not (tmp_path / "x.reprosnap").exists()
+    assert nested.status == 200
+    assert (snapshots / "runs" / "a.reprosnap").stat().st_size > 0
 
 
 def test_delete_forgets_session(client):

@@ -78,10 +78,8 @@ _FAULTS = dict(
 def test_snapshot_of_restored_scenario_is_bit_identical():
     """Within-process idempotence: restore -> snapshot reproduces the bytes.
 
-    (Bit-identity of a *fresh run's* artifact across processes is not yet
-    promised for urban-grid — link first-seen bookkeeping is filled in set
-    order, which is hash-randomised per process — but a snapshot must be a
-    fixed point of restore.)
+    (Bit-identity of a *fresh run's* artifact across processes is
+    :func:`test_fresh_run_artifact_is_identical_across_hash_seeds`.)
     """
     scenario = build_scenario("highway", n=4, seed=5)
     scenario.run(6.0)
@@ -142,3 +140,38 @@ def test_snapshot_artifact_is_deterministic_within_process():
     scenario = build_scenario("highway", n=4, seed=5)
     scenario.run(6.0)
     assert scenario.snapshot() == scenario.snapshot()
+
+
+_FRESH_RUN_DIGEST = """
+import hashlib, json, sys
+from repro.scenarios import build_scenario
+name, knobs = sys.argv[1], json.loads(sys.argv[2])
+scenario = build_scenario(name, **knobs)
+scenario.run(4.0)
+print(hashlib.sha256(scenario.snapshot()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize(
+    "name, knobs",
+    [
+        ("urban-grid", dict(n=30, seed=3)),
+        ("intersection", dict(n=6, seed=2)),
+        ("highway", dict(n=4, seed=5)),
+    ],
+    ids=["urban-grid", "intersection", "highway"],
+)
+def test_fresh_run_artifact_is_identical_across_hash_seeds(name, knobs):
+    """A fresh run's artifact bytes do not depend on ``PYTHONHASHSEED``."""
+    digests = set()
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC_DIR)
+        result = subprocess.run(
+            [sys.executable, "-c", _FRESH_RUN_DIGEST, name, json.dumps(knobs)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        digests.add(result.stdout.strip())
+    assert len(digests) == 1, digests

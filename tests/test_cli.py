@@ -136,15 +136,17 @@ def test_sweep_repeated_invocation_is_byte_identical(capsys):
     assert first == second
 
 
-def test_sweep_jobs_output_identical_to_sequential(capsys):
+def test_sweep_jobs_output_identical_to_sequential(capsys, tmp_path):
     argv_tail = ["--duration", "3", "--repetitions", "2", "--seed", "4"]
-    assert main(["sweep", "--scenario", "intersection", "--set", "n=4,5",
-                 "--jobs", "1", *argv_tail]) == 0
-    sequential = capsys.readouterr().out
-    assert main(["sweep", "--scenario", "intersection", "--set", "n=4,5",
-                 "--jobs", "3", *argv_tail]) == 0
-    parallel = capsys.readouterr().out
-    assert sequential == parallel
+    outputs = {}
+    for jobs in ("1", "3"):
+        out = [tmp_path / f"jobs{jobs}.json", tmp_path / f"jobs{jobs}.csv"]
+        assert main(["sweep", "--scenario", "intersection", "--set", "n=4,5",
+                     "--jobs", jobs, *argv_tail,
+                     "--out", str(out[0]), "--out", str(out[1])]) == 0
+        outputs[jobs] = [capsys.readouterr().out, *(p.read_bytes() for p in out)]
+    # The table, the JSON export and the CSV export are all byte-identical.
+    assert outputs["1"] == outputs["3"]
 
 
 def test_sweep_two_dimensional_grid_prints_every_point(capsys):
